@@ -13,10 +13,6 @@ so the final space efficiency matches a full table):
   vector number exercises the fused one-gather-per-plane + XOR kernel
   (both backends share it, so the two legs should be close — the scalar
   leg is the regression reference).
-- ``numba_insert_many`` — only when numba is importable; otherwise the
-  leg is recorded as skipped (the backend silently degrades to the
-  vector kernels, so timing it without numba would duplicate the vector
-  leg).
 
 Results and throughput gates are written to ``BENCH_engine.json``.
 ``--check`` exits non-zero when a leg misses its threshold (relaxed in
@@ -43,7 +39,7 @@ if __package__ in (None, ""):  # script invocation: make src/ importable
         0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     )
 
-from repro.core import HAVE_NUMBA, EmbedderConfig, VisionEmbedder
+from repro.core import EmbedderConfig, VisionEmbedder
 from repro.obs import parse_prometheus_text, write_sidecar
 
 SEED = 3
@@ -93,8 +89,7 @@ def run_legs(n: int) -> tuple:
         }
         print(f"{name:>22}: {seconds:7.2f}s  ({legs[name]['kops']:9.1f} kops)")
 
-    backends = ["scalar", "vector"] + (["numba"] if HAVE_NUMBA else [])
-    for backend in backends:
+    for backend in ("scalar", "vector"):
         table = make_embedder(n, backend)
         if backend == "vector":
             vector_table = table
@@ -118,10 +113,6 @@ def run_legs(n: int) -> tuple:
               f"({legs[backend + '_lookup_batch']['kops']:9.1f} kops)")
         if not np.array_equal(out, values):
             raise SystemExit(f"{backend} lookup_batch returned wrong values")
-
-    if not HAVE_NUMBA:
-        legs["numba_insert_many"] = {"skipped": "numba not importable"}
-        print(f"{'numba_insert_many':>22}: skipped (numba not importable)")
     return legs, vector_table
 
 
@@ -181,7 +172,7 @@ def main(argv=None) -> int:
 
     n = 20_000 if args.smoke else args.n
     thresholds = SMOKE_THRESHOLDS if args.smoke else FULL_THRESHOLDS
-    print(f"engine benchmark: n={n} smoke={args.smoke} numba={HAVE_NUMBA}")
+    print(f"engine benchmark: n={n} smoke={args.smoke}")
     legs, vector_table = run_legs(n)
 
     sidecar_paths = None
@@ -195,7 +186,6 @@ def main(argv=None) -> int:
         "smoke": args.smoke,
         "value_bits": VALUE_BITS,
         "seed": SEED,
-        "numba_available": HAVE_NUMBA,
         "legs": legs,
         "thresholds_kops": thresholds,
         "speedups": {

@@ -1061,17 +1061,25 @@ def ablation_num_arrays(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
 
 
 def ablation_construction(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
-    """Dynamic insertion vs static peeling construction (§IV-C)."""
+    """Dynamic insertion vs static peeling construction (§IV-C).
+
+    Build throughput is the best of three fresh builds: a small build
+    takes about a millisecond, so one timing is at the mercy of whatever
+    else the machine is doing.
+    """
     n = _scaled(4096, scale)
     keys, values = make_pairs(n, 8, seed + 2)
     pairs = list(zip(keys.tolist(), values.tolist()))
     rows: List[Tuple] = []
     for method in ("dynamic", "static"):
-        started = time.perf_counter()
-        table = VisionEmbedder.from_pairs(
-            pairs, value_bits=8, seed=seed, static=(method == "static")
-        )
-        build_mops = n / (time.perf_counter() - started) / 1e6
+        best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            table = VisionEmbedder.from_pairs(
+                pairs, value_bits=8, seed=seed, static=(method == "static")
+            )
+            best = min(best, time.perf_counter() - started)
+        build_mops = n / best / 1e6
         started = time.perf_counter()
         table.reconstruct(method=method)
         rebuild_seconds = time.perf_counter() - started

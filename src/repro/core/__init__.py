@@ -26,10 +26,8 @@ from repro.core.shared_planes import (
 )
 from repro.core.assistant_table import AssistantTable
 from repro.core.engine import (
-    HAVE_NUMBA,
     ArrayAssistant,
     ExecutionEngine,
-    NumbaEngine,
     ReferenceVectorEngine,
     ScalarEngine,
     VectorEngine,
@@ -71,10 +69,8 @@ __all__ = [
     "ExecutionEngine",
     "ScalarEngine",
     "VectorEngine",
-    "NumbaEngine",
     "ReferenceVectorEngine",
     "make_engine",
-    "HAVE_NUMBA",
     "VisionEmbedder",
     "ConcurrentVisionEmbedder",
     "ShardedEmbedder",

@@ -6,21 +6,14 @@ key → value mapping and each key's three cells, so updates never rehash.
 Lookups never touch this structure — it exists purely to support dynamic
 updates, deletion, and reconstruction.
 
-Two facilities exist for the batched write pipeline:
-
-- :meth:`AssistantTable.add_batch` bulk-registers many pairs in one call
-  (used by the static construction and by :meth:`VisionEmbedder.insert_batch`
-  after the hashes have been computed in one vectorised pass).
-- Per-bucket **generation counters**: every ``add``/``remove`` bumps the
-  counter of each touched bucket, and ``clear`` bumps a global epoch.
-  :class:`~repro.core.update.VisionStrategy` keys its GetCost cost-cache on
-  these, so repair walks over stable regions skip recomputing identical
-  DFS subtrees.
+:meth:`AssistantTable.add_batch` bulk-registers many pairs in one call
+(used by the static construction and by :meth:`VisionEmbedder.insert_batch`
+after the hashes have been computed in one vectorised pass).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, Sequence, Set, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -40,20 +33,6 @@ class AssistantTable:
         self._cell_keys = [
             [set() for _ in range(width)] for _ in range(num_arrays)
         ]
-        # Flat alias of the same set objects, indexed ``j * width + t``.
-        # The cost-cache hot path uses this (and the flat generation list
-        # below) to avoid nested indexing; the sets are shared, never
-        # replaced, so both views always agree.
-        self._buckets = [
-            bucket for per_array in self._cell_keys for bucket in per_array
-        ]
-        # Per-bucket mutation counters (cost-cache invalidation), indexed
-        # ``j * width + t`` like ``_buckets``.
-        self._gens = [0] * (num_arrays * width)
-        # Bumped whenever the whole table is cleared; per-bucket counters
-        # restart at zero afterwards, so cached readers must compare epochs
-        # before trusting any generation value.
-        self.generation_epoch = 0
         self._values: Dict[int, int] = {}
         self._cells: Dict[int, Tuple[Cell, ...]] = {}
 
@@ -85,11 +64,9 @@ class AssistantTable:
             raise KeyError(f"key {key!r} already recorded")
         self._values[key] = value
         self._cells[key] = cells
-        width = self.width
+        cell_keys = self._cell_keys
         for j, t in cells:
-            flat = j * width + t
-            self._buckets[flat].add(key)
-            self._gens[flat] += 1
+            cell_keys[j][t].add(key)
 
     def add_batch(  # repro: hotpath
         self,
@@ -111,26 +88,20 @@ class AssistantTable:
             if key in live or key in seen:
                 raise KeyError(f"key {key!r} already recorded")
             seen.add(key)
-        buckets = self._buckets
-        gens = self._gens
-        width = self.width
+        cell_keys = self._cell_keys
         for key, value, cells in zip(keys, values, cells_list):
             live[key] = value
             self._cells[key] = cells
             for j, t in cells:
-                flat = j * width + t
-                buckets[flat].add(key)
-                gens[flat] += 1
+                cell_keys[j][t].add(key)
 
     def remove(self, key: int) -> None:  # repro: hotpath
         """Forget a KV pair; its cells' counters drop by one (§IV-C Delete)."""
         cells = self._cells.pop(key)
         del self._values[key]
-        width = self.width
+        cell_keys = self._cell_keys
         for j, t in cells:
-            flat = j * width + t
-            self._buckets[flat].discard(key)
-            self._gens[flat] += 1
+            cell_keys[j][t].discard(key)
 
     def set_value(self, key: int, value: int) -> None:
         """Record the new value for an existing key (cells are unchanged)."""
@@ -161,21 +132,6 @@ class AssistantTable:
         j, t = cell
         return len(self._cell_keys[j][t])
 
-    def generation(self, cell: Cell) -> int:
-        """The mutation counter of ``cell``'s bucket.
-
-        Bumped by every :meth:`add`/:meth:`remove` touching the bucket;
-        restarts from zero when :meth:`clear` bumps ``generation_epoch``.
-        """
-        j, t = cell
-        return self._gens[j * self.width + t]
-
-    @property
-    def generations(self) -> List[int]:
-        """The per-bucket counters as a flat list, indexed
-        ``array * width + index`` (the cost-cache hot path reads this)."""
-        return self._gens
-
     def pairs(self) -> Iterator[Tuple[int, int]]:
         """All live (key, value) pairs."""
         return iter(self._values.items())
@@ -184,10 +140,9 @@ class AssistantTable:
         """Drop every pair (used by reconstruction before re-inserting)."""
         self._values.clear()
         self._cells.clear()
-        for bucket in self._buckets:
-            bucket.clear()
-        self._gens = [0] * (self.num_arrays * self.width)
-        self.generation_epoch += 1
+        for per_array in self._cell_keys:
+            for bucket in per_array:
+                bucket.clear()
 
     def check_consistency(self) -> None:
         """Assert the structural invariants; raises AssertionError if broken.

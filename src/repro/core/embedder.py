@@ -106,7 +106,7 @@ class VisionEmbedder(ValueOnlyTable):
         self._table = table_class(width, value_bits, num_arrays)
         # The execution engine owns the batched write path and chooses the
         # assistant implementation (AssistantTable for the scalar backend,
-        # ArrayAssistant for the vector/numba backends). Both are
+        # ArrayAssistant for the vector backend). Both are
         # duck-compatible; single-key operations behave identically.
         self._engine = make_engine(self.config.backend)
         self._assistant: Any = self._engine.make_assistant(width, num_arrays)
@@ -122,8 +122,6 @@ class VisionEmbedder(ValueOnlyTable):
             self.config.strategy,
             self.config.depth_policy,
             random.Random(seed ^ 0xA5A5A5A5),
-            use_cache=self.config.cost_cache,
-            stats=self._stats,
         )
         self._retry_rng = random.Random(seed ^ 0x0F0F0F0F)
         # Raw counter handles for the per-insert path: mutations are
@@ -725,6 +723,5 @@ class VisionEmbedder(ValueOnlyTable):
         return (
             f"VisionEmbedder(n={len(self)}, m={self.num_cells}, "
             f"L={self._value_bits}, strategy={self.config.strategy!r}, "
-            f"cost_cache_hit_rate={stats.cost_cache_hit_rate:.2f}, "
             f"batches={stats.batch_inserts} (largest {stats.largest_batch}))"
         )

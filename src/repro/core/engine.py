@@ -13,8 +13,8 @@ same interface and invariants while moving the common case onto numpy:
   keys, values and cells columnar (one append per *batch*, not per key),
   resolves key → row through a sorted index + small overlay dict, and
   materialises bucket membership lazily from a CSR built in one
-  ``lexsort`` — so the scalar walker, the GetCost DFS, and the cost cache
-  all keep working against it unchanged.
+  ``lexsort`` — so the scalar walker and the GetCost DFS keep working
+  against it unchanged.
 - **Multi-walk repair** extends the IBLT-style round-synchronous peel of
   :mod:`repro.core.static_build` (arXiv 1101.2245 gives the formulation)
   to the *dynamic* delta path: every batch key whose candidate cell is
@@ -39,11 +39,6 @@ contents after a batch may differ between backends while both satisfy
 every key's equation. A :class:`SpaceExhausted` abort keeps the peeled
 subset plus the walked remainder prefix (the scalar backend keeps the
 batch-order prefix).
-
-``backend="numba"`` selects :class:`NumbaEngine`: the vector engine with
-jitted kernels when ``numba`` is importable. The dependency is optional
-by construction — when the import fails the engine silently runs the
-plain numpy paths, so CI and the tier-1 suite never require it.
 """
 
 from __future__ import annotations
@@ -63,62 +58,25 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.core.errors import ReconstructionFailed, SpaceExhausted, UpdateFailure
-from repro.core.static_build import _peel_rounds, assign_in_reverse_flat
+from repro.core.static_build import assign_in_reverse_flat, peel_rounds_masked
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
     from repro.core.embedder import VisionEmbedder
 
 Cell = Tuple[int, int]
-Rounds = List[Tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # type: ignore[import-not-found]  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the CI / tier-1 path
-    HAVE_NUMBA = False
 
 #: Overlay size beyond which the sorted key index is rebuilt eagerly.
 _INDEX_REBUILD_THRESHOLD = 1 << 14
-
-
-class _BucketsView:
-    """Flat-indexed bucket access, shaped like ``AssistantTable._buckets``.
-
-    The cost-cache hot path does ``assistant._buckets[flat]`` and then
-    ``len``/iterates; here that materialises the member tuple on demand.
-    """
-
-    __slots__ = ("_assistant",)
-
-    def __init__(self, assistant: "ArrayAssistant") -> None:
-        self._assistant = assistant
-
-    def __getitem__(self, flat: int) -> Tuple[int, ...]:
-        return self._assistant._bucket_members(flat)
-
-
-class _CellsView:
-    """Key-indexed cells access, shaped like ``AssistantTable._cells``."""
-
-    __slots__ = ("_assistant",)
-
-    def __init__(self, assistant: "ArrayAssistant") -> None:
-        self._assistant = assistant
-
-    def __getitem__(self, key: int) -> Tuple[Cell, ...]:
-        return self._assistant.cells(key)
 
 
 class ArrayAssistant:
     """Array-native slow-space bookkeeping (§III), bulk-add in O(1) passes.
 
     Drop-in for :class:`~repro.core.assistant_table.AssistantTable`: the
-    same public surface plus the ``_buckets``/``_gens``/``_cells``
-    attributes the GetCost memo pokes — so every scalar code path (repair
-    walks, cost cache, reconstruction, deletion) runs against it
-    unchanged, while batch registration is a handful of numpy scatter
-    passes instead of per-key dict/set mutation.
+    same public surface, so every scalar code path (repair walks, GetCost,
+    reconstruction, deletion) runs against it unchanged, while batch
+    registration is a handful of numpy scatter passes instead of per-key
+    dict/set mutation.
 
     Representation: columnar arrays (``uint64`` keys/values, an
     ``int64 (num_arrays, rows)`` flat-cell matrix, a liveness mask) with
@@ -148,8 +106,6 @@ class ArrayAssistant:
         self._flats = np.zeros((num_arrays, cap), dtype=np.int64)
         self._alive = np.zeros(cap, dtype=bool)
         self._counts = np.zeros(m, dtype=np.int64)
-        self._gens: npt.NDArray[np.int64] = np.zeros(m, dtype=np.int64)
-        self.generation_epoch = 0
         self._sorted_keys: npt.NDArray[np.uint64] = np.zeros(0, dtype=np.uint64)
         self._sorted_rows: npt.NDArray[np.int64] = np.zeros(0, dtype=np.int64)
         self._index_overlay: Dict[int, int] = {}
@@ -158,8 +114,6 @@ class ArrayAssistant:
         self._csr_keys: npt.NDArray[np.uint64] = np.zeros(0, dtype=np.uint64)
         self._bucket_add: Dict[int, List[int]] = {}
         self._bucket_del: Dict[int, Set[int]] = {}
-        self._buckets = _BucketsView(self)
-        self._cells = _CellsView(self)
 
     # -- key index -------------------------------------------------------
 
@@ -242,7 +196,6 @@ class ArrayAssistant:
             flat = j * width + t
             self._flats[j, row] = flat
             self._counts[flat] += 1
-            self._gens[flat] += 1
             if csr_valid:
                 dropped = self._bucket_del.get(flat)
                 if dropped is not None:
@@ -317,7 +270,6 @@ class ArrayAssistant:
         self._live += n
         flat_all = flat_mat.ravel()
         np.add.at(self._counts, flat_all, 1)
-        np.add.at(self._gens, flat_all, 1)
         self._rebuild_index()
         self._invalidate_csr()
 
@@ -331,7 +283,6 @@ class ArrayAssistant:
         for j in range(self.num_arrays):
             flat = int(self._flats[j, row])
             self._counts[flat] -= 1
-            self._gens[flat] += 1
             if csr_valid:
                 self._note_removed(flat, key)
         self._live -= 1
@@ -384,16 +335,6 @@ class ArrayAssistant:
         j, t = cell
         return int(self._counts[j * self.width + t])
 
-    def generation(self, cell: Cell) -> int:
-        """The mutation counter of ``cell``'s bucket."""
-        j, t = cell
-        return int(self._gens[j * self.width + t])
-
-    @property
-    def generations(self) -> npt.NDArray[np.int64]:
-        """Per-bucket counters, flat-indexed ``array * width + index``."""
-        return self._gens
-
     def counts_snapshot(self) -> npt.NDArray[np.int64]:
         """An independent copy of the per-cell occupancy counters."""
         return self._counts.copy()
@@ -410,8 +351,6 @@ class ArrayAssistant:
         self._n_rows = 0
         self._live = 0
         self._counts[:] = 0
-        self._gens[:] = 0
-        self.generation_epoch += 1
         self._sorted_keys = np.zeros(0, dtype=np.uint64)
         self._sorted_rows = np.zeros(0, dtype=np.int64)
         self._index_overlay.clear()
@@ -480,57 +419,6 @@ class ArrayAssistant:
                 assert key in self.keys_at(cell), (
                     f"key {key!r} absent from its bucket {cell}"
                 )
-
-
-# ---------------------------------------------------------------------------
-# Peel scheduling (the vectorised multi-walk)
-# ---------------------------------------------------------------------------
-
-
-def peel_rounds_masked(
-    flat_mat: npt.NDArray[np.int64],
-    num_cells: int,
-    base_counts: npt.NDArray[np.int64],
-    hooks: object = None,  # repro: arrays(int64, bool)
-) -> Tuple[Rounds, npt.NDArray[np.bool_]]:  # repro: hotpath
-    """Round-synchronous peel of a batch over a *live* table.
-
-    Like :func:`repro.core.static_build._peel_rounds`, but cells already
-    constrained by pre-existing keys (``base_counts > 0``) are never
-    peelable — writing them would break a live equation — and a stalled
-    peel is not an error: the return value is ``(rounds, peeled_mask)``
-    where unpeeled keys fall back to the scalar walker.
-
-    Each round advances every currently-retirable walk at once: the
-    candidate cells of the whole frontier are the batch-degree-1 unblocked
-    cells, ``np.unique`` over their XOR aggregates collapses the cell-id
-    collisions (one key holding several free cells retires through its
-    lowest flat id), and two scatter passes retire the round in bulk.
-    """
-    num_arrays, n = flat_mat.shape
-    flat_all = flat_mat.ravel()
-    degree = np.bincount(flat_all, minlength=num_cells).astype(np.int64)
-    agg = np.zeros(num_cells, dtype=np.int64)
-    np.bitwise_xor.at(
-        agg, flat_all, np.tile(np.arange(n, dtype=np.int64), num_arrays)
-    )
-    unblocked = base_counts == 0
-
-    rounds: Rounds = []
-    peeled_mask = np.zeros(n, dtype=bool)
-    candidates = np.nonzero((degree == 1) & unblocked)[0]
-    while candidates.size:
-        keys, first = np.unique(agg[candidates], return_index=True)
-        own = candidates[first]
-        rounds.append((keys, own))
-        peeled_mask[keys] = True
-        if hooks is not None:
-            hooks.on_peel_round(len(rounds) - 1, int(keys.size))  # type: ignore[attr-defined]
-        retired = flat_mat[:, keys].ravel()
-        np.subtract.at(degree, retired, 1)
-        np.bitwise_xor.at(agg, retired, np.tile(keys, num_arrays))
-        candidates = np.nonzero((degree == 1) & unblocked)[0]
-    return rounds, peeled_mask
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +637,12 @@ class VectorEngine(ExecutionEngine):
                 arr.astype(np.int64) + j * width
                 for j, arr in enumerate(index_arrays)
             ])
-            rounds = _peel_rounds(flat_mat, width, emb._hooks)
-            if rounds is None:
+            num_cells = table.num_cells
+            rounds, peeled_mask = peel_rounds_masked(
+                flat_mat, num_cells, np.zeros(num_cells, dtype=np.int64),
+                emb._hooks,
+            )
+            if not peeled_mask.all():
                 emb._stats.update_failures += 1
                 emb._stats.reconstructions += 1
                 emb._seed += 1
@@ -766,20 +658,6 @@ class VectorEngine(ExecutionEngine):
             f"static peel failed for {emb.config.max_reconstruct_attempts} "
             "seeds"
         )
-
-
-class NumbaEngine(VectorEngine):
-    """The vector engine with optional jitted kernels (``backend="numba"``).
-
-    When numba is importable the gather/scatter inner loops may run
-    jitted; when it is not — the tier-1/CI situation — every path silently
-    degrades to the plain numpy implementation, so selecting this backend
-    never introduces a hard dependency. ``jitted`` reports which case this
-    process is in.
-    """
-
-    name = "numba"
-    jitted = HAVE_NUMBA
 
 
 class ReferenceVectorEngine(ExecutionEngine):
@@ -910,17 +788,12 @@ class ReferenceVectorEngine(ExecutionEngine):
 _ENGINES = {
     "scalar": ScalarEngine,
     "vector": VectorEngine,
-    "numba": NumbaEngine,
     "reference-vector": ReferenceVectorEngine,
 }
 
 
 def make_engine(name: str) -> ExecutionEngine:
-    """Build an execution engine by config name.
-
-    ``"numba"`` always succeeds: the engine reports ``jitted=False`` and
-    runs the plain numpy vector paths when the dependency is absent.
-    """
+    """Build an execution engine by config name."""
     try:
         engine_class = _ENGINES[name]
     except KeyError:

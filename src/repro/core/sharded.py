@@ -351,9 +351,8 @@ class ShardedEmbedder(ValueOnlyTable):
         """Per-shard operational summary, one dict per shard.
 
         Includes the live key count, space efficiency, current seed, and
-        the failure/cache counters the sharded benchmark compares across
-        shards (reconstructions, repair steps, cost-cache hits, misses,
-        and invalidations).
+        the failure counters the sharded benchmark compares across shards
+        (reconstructions, update failures and repair steps).
         """
         out: List[Dict[str, float]] = []
         for index, shard in enumerate(self._shards):
@@ -366,9 +365,6 @@ class ShardedEmbedder(ValueOnlyTable):
                 "reconstructions": stats.reconstructions,
                 "update_failures": stats.update_failures,
                 "repair_steps": stats.repair_steps,
-                "cost_cache_hits": stats.cost_cache_hits,
-                "cost_cache_misses": stats.cost_cache_misses,
-                "cost_cache_invalidations": stats.cost_cache_invalidations,
             })
         return out
 

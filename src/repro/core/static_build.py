@@ -12,7 +12,7 @@ dynamically-built table: subsequent inserts/updates/deletes work as usual.
 
 Two peeling engines coexist:
 
-- The **flat-array engine** (:func:`peel_order_flat`,
+- The **flat-array engine** (:func:`peel_rounds_masked`,
   :func:`static_build_arrays`) keeps, per cell, only a degree counter and
   the XOR of the member key *indices* — the IBLT trick: when the degree
   hits one, the XOR aggregate *is* the one remaining member. Initialisation
@@ -20,16 +20,14 @@ Two peeling engines coexist:
   and the peel itself runs in vectorised *rounds*: every degree-1 cell is
   peeled at once and the retired memberships are scattered out in bulk, so
   a 100k-key peel is ~25 numpy rounds rather than 100k python iterations —
-  an order of magnitude faster than mutating a dict of sets.
+  an order of magnitude faster than mutating a dict of sets. The vector
+  engine's batched inserts run the same kernel over a live table, with
+  the cells of pre-existing keys masked out.
 - The **reference engine** (:func:`peel_order`, :func:`assign_in_reverse`,
   :func:`static_build_reference`) is the original dict-of-sets
   implementation, kept as the executable specification; a property test
   asserts both engines peel exactly the same instances and produce tables
   satisfying every equation.
-
-:func:`static_build` keeps its historical signature and picks the flat
-engine whenever the supplied cells have the canonical one-cell-per-array
-shape, falling back to the reference engine otherwise.
 """
 
 from __future__ import annotations
@@ -37,12 +35,14 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core.assistant_table import AssistantTable
 from repro.core.errors import UpdateFailure
 from repro.core.value_table import ValueTable
 
 Cell = Tuple[int, int]
+Rounds = List[Tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]]
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def static_build_reference(
 
 
 # ---------------------------------------------------------------------------
-# Flat-array engine (numpy init + list peel)
+# Flat-array engine (round-synchronous numpy peel)
 # ---------------------------------------------------------------------------
 
 
@@ -136,89 +136,74 @@ def _flat_matrix(
     ])
 
 
-def _peel_rounds(  # repro: hotpath
-    flat_mat: np.ndarray, width: int, hooks=None
-) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
-    """Round-synchronous vectorised peel.
+def peel_rounds_masked(
+    flat_mat: npt.NDArray[np.int64],
+    num_cells: int,
+    base_counts: npt.NDArray[np.int64],
+    hooks: object = None,  # repro: arrays(int64, bool)
+) -> Tuple[Rounds, npt.NDArray[np.bool_]]:  # repro: hotpath
+    """Round-synchronous vectorised peel, optionally over a *live* table.
 
     Each round peels *every* currently-degree-1 cell at once: the XOR
     aggregate of such a cell **is** its single member (the IBLT trick), so
-    one gather yields the round's keys and two ``ufunc.at`` scatters retire
-    their memberships. Returns ``[(keys, own_cells), ...]`` per round, or
-    None on a stall (non-empty 2-core). Safe for any-order assignment
-    within a round: a peeled key's own cell contains only that key, so no
-    other key — same round or later — reads or writes it.
+    one gather yields the round's keys — ``np.unique`` collapses the
+    cell-id collisions, one key holding several free cells retiring
+    through its lowest flat id — and two ``ufunc.at`` scatters retire
+    their memberships. Safe for any-order assignment within a round: a
+    peeled key's own cell contains only that key, so no other key — same
+    round or later — reads or writes it.
+
+    Cells already constrained by pre-existing keys (``base_counts > 0``)
+    are never peelable — writing them would break a live equation. A
+    static build passes all-zero ``base_counts``. Returns
+    ``(rounds, peeled_mask)``: ``[(keys, own_cells), ...]`` per round and
+    the keys retired; a stall (non-empty 2-core) shows as
+    ``not peeled_mask.all()``.
 
     ``hooks`` (``repro.obs.hooks.WalkHooks``-shaped) receives
     ``on_peel_round(round_index, peeled)`` per round — the peel-round /
     degree progression IBLT-style structures are tuned by.
     """
     num_arrays, n = flat_mat.shape
-    m = num_arrays * width
     flat_all = flat_mat.ravel()
-    degree = np.bincount(flat_all, minlength=m)
-    agg = np.zeros(m, dtype=np.int64)
-    np.bitwise_xor.at(agg, flat_all, np.tile(np.arange(n, dtype=np.int64),
-                                             num_arrays))
+    degree = np.bincount(flat_all, minlength=num_cells).astype(np.int64)
+    agg = np.zeros(num_cells, dtype=np.int64)
+    np.bitwise_xor.at(
+        agg, flat_all, np.tile(np.arange(n, dtype=np.int64), num_arrays)
+    )
+    unblocked = base_counts == 0
 
-    rounds: List[Tuple[np.ndarray, np.ndarray]] = []
-    peeled = 0
-    candidates = np.nonzero(degree == 1)[0]
+    rounds: Rounds = []
+    peeled_mask = np.zeros(n, dtype=bool)
+    candidates = np.nonzero((degree == 1) & unblocked)[0]
     while candidates.size:
         keys, first = np.unique(agg[candidates], return_index=True)
         own = candidates[first]
         rounds.append((keys, own))
-        peeled += keys.size
+        peeled_mask[keys] = True
         if hooks is not None:
-            hooks.on_peel_round(len(rounds) - 1, int(keys.size))
+            hooks.on_peel_round(len(rounds) - 1, int(keys.size))  # type: ignore[attr-defined]
         retired = flat_mat[:, keys].ravel()
         np.subtract.at(degree, retired, 1)
         np.bitwise_xor.at(agg, retired, np.tile(keys, num_arrays))
-        candidates = np.nonzero(degree == 1)[0]
-    if peeled != n:
-        return None
-    return rounds
-
-
-def peel_order_flat(
-    index_cols: Sequence[Sequence[int]],
-    width: int,
-) -> Optional[List[Tuple[int, int]]]:
-    """Greedy peel over flat arrays: IBLT-style degree + XOR aggregation.
-
-    ``index_cols[j][i]`` is key ``i``'s index into array ``j``; a cell is
-    addressed by its flat id ``j·width + t``. Returns
-    ``[(key_index, flat_cell), ...]`` in a valid peel order (concatenated
-    peel rounds), or None on a stall.
-    """
-    num_arrays = len(index_cols)
-    n = len(index_cols[0]) if num_arrays else 0
-    if n == 0:
-        return []
-    rounds = _peel_rounds(_flat_matrix(index_cols, width), width)
-    if rounds is None:
-        return None
-    return [
-        (int(key), int(cell))
-        for keys, cells in rounds
-        for key, cell in zip(keys.tolist(), cells.tolist())
-    ]
+        candidates = np.nonzero((degree == 1) & unblocked)[0]
+    return rounds, peeled_mask
 
 
 def assign_in_reverse_flat(  # repro: hotpath
     table: ValueTable,
-    rounds: List[Tuple[np.ndarray, np.ndarray]],
+    rounds: Rounds,
     flat_mat: np.ndarray,
     values: Sequence[int],
 ) -> None:
     """Vectorised reverse-round assignment, written back in bulk.
 
     Rounds are processed last-peeled-first; within a round every key's own
-    cell is private (see :func:`_peel_rounds`), so the whole round resolves
-    with numpy gathers and one scatter. Each own cell appears exactly once
-    among its key's cells, so XORing the full row and the own cell's
-    current (still unconstrained) value leaves exactly the other cells'
-    contribution.
+    cell is private (see :func:`peel_rounds_masked`), so the whole round
+    resolves with numpy gathers and one scatter. Each own cell appears
+    exactly once among its key's cells, so XORing the full row and the own
+    cell's current (still unconstrained) value leaves exactly the other
+    cells' contribution.
     """
     num_arrays = table.num_arrays
     cells = table.to_dense().reshape(-1)
@@ -252,8 +237,11 @@ def static_build_arrays(
     if len(keys) == 0:
         return
     flat_mat = _flat_matrix(index_cols, table.width)
-    rounds = _peel_rounds(flat_mat, table.width, hooks)
-    if rounds is None:
+    num_cells = table.num_cells
+    rounds, peeled_mask = peel_rounds_masked(
+        flat_mat, num_cells, np.zeros(num_cells, dtype=np.int64), hooks
+    )
+    if not peeled_mask.all():
         raise UpdateFailure("static peel stalled (non-empty 2-core)")
     assign_in_reverse_flat(table, rounds, flat_mat, values)
     cells_list = list(zip(*(
@@ -261,40 +249,3 @@ def static_build_arrays(
         for j, col in enumerate(index_cols)
     )))
     assistant.add_batch(keys, values, cells_list)
-
-
-# ---------------------------------------------------------------------------
-# Historical entry point
-# ---------------------------------------------------------------------------
-
-
-def static_build(
-    table: ValueTable,
-    assistant: AssistantTable,
-    pairs: Iterable[Tuple[int, Tuple[Cell, ...], int]],
-) -> None:
-    """Populate an *empty* table/assistant statically from
-    ``(key, cells, value)`` triples.
-
-    Raises :class:`UpdateFailure` if the peel stalls (caller reseeds, as
-    for a dynamic failure). On success both structures hold every pair and
-    all equations are satisfied. Dispatches to the flat-array engine when
-    the cells have the canonical one-cell-per-array shape (which everything
-    VisionEmbedder produces does), and to the reference engine otherwise.
-    """
-    triples = list(pairs)
-    num_arrays = table.num_arrays
-    canonical = all(
-        len(cells) == num_arrays
-        and all(cells[j][0] == j for j in range(num_arrays))
-        for _, cells, _ in triples
-    )
-    if not canonical:
-        static_build_reference(table, assistant, triples)
-        return
-    keys = [key for key, _, _ in triples]
-    values = [value for _, _, value in triples]
-    index_cols = [
-        [cells[j][1] for _, cells, _ in triples] for j in range(num_arrays)
-    ]
-    static_build_arrays(table, assistant, keys, values, index_cols)

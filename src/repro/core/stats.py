@@ -2,7 +2,7 @@
 
 The experiment drivers read these to reproduce the paper's failure-frequency
 (Fig 4) and reconstruction-time-excluded throughput (Fig 6) results; the
-batch/cache counters track the vectorised write pipeline across PRs.
+batch counters track the vectorised write pipeline.
 
 Since the observability layer landed, :class:`TableStats` is a **thin view
 over a metrics registry** (:class:`repro.obs.registry.MetricsRegistry`):
@@ -11,9 +11,9 @@ for ``largest_batch``, a gauge), so ``table.stats.updates`` and the
 ``repro_updates_total`` sample of an exported registry are the same number
 by construction. The attribute API — ``stats.updates += 1``, keyword
 construction, ``snapshot()``, ``reset()`` — is unchanged; hot paths that
-bump a counter per memo probe hold the :class:`~repro.obs.registry.Counter`
-object directly (see ``VisionStrategy``) and pay exactly the old
-attribute-increment cost.
+bump a counter per key hold the :class:`~repro.obs.registry.Counter`
+object directly (see ``VisionEmbedder._updates_counter``) and pay exactly
+the old attribute-increment cost.
 
 ``note_batch`` additionally feeds the ``repro_batch_size`` histogram, and
 tracing hooks (``repro.obs.hooks.MetricsHooks``) add the walk/kick/
@@ -51,18 +51,6 @@ STAT_FIELDS = {
         "Wall-clock time spent inside reconstruction (Figs 5 vs 6)",
         "seconds",
     ),
-    "cost_cache_hits": (
-        "repro_cost_cache_hits_total", "counter",
-        "GetCost memo subtrees revalidated from the cache", "",
-    ),
-    "cost_cache_misses": (
-        "repro_cost_cache_misses_total", "counter",
-        "GetCost memo subtrees recomputed in full", "",
-    ),
-    "cost_cache_invalidations": (
-        "repro_cost_cache_invalidations_total", "counter",
-        "GetCost memo entries discarded on a bucket-generation mismatch", "",
-    ),
     "batch_inserts": (
         "repro_batch_inserts_total", "counter",
         "Calls to the batched write path", "",
@@ -96,12 +84,6 @@ class TableStats:
     reconstruct_seconds:
         Wall-clock time spent inside reconstruction, so throughput can be
         reported with and without it (Figs 5 vs 6).
-    cost_cache_hits / cost_cache_misses / cost_cache_invalidations:
-        GetCost memo traffic of the vision strategy (a "miss" is one
-        recomputed full-bucket subtree; hits revalidate via bucket
-        generation counters only; an invalidation is a memo entry found
-        stale — some dependent bucket's generation moved — and discarded,
-        so every invalidation also counts as a miss).
     batch_inserts / batch_keys / largest_batch:
         Calls to the batched write path, total keys routed through it, and
         the biggest single batch seen.
@@ -126,14 +108,6 @@ class TableStats:
             "repro_batch_size", BATCH_SIZE_BUCKETS,
             help="Keys per batched write", unit="keys",
         )
-        # Derived gauge, not a STAT_FIELDS member: it is computed from the
-        # hit/miss counters on read (see cost_cache_hit_rate), so it never
-        # participates in snapshot()/__eq__ or keyword construction.
-        metrics["cost_cache_hit_rate_gauge"] = self._registry.gauge(
-            "repro_cost_cache_hit_rate",
-            "Fraction of GetCost subtree evaluations served from the cache "
-            "(refreshed when cost_cache_hit_rate is read)",
-        )
         for attr, value in initial.items():
             if attr not in STAT_FIELDS:
                 raise TypeError(
@@ -155,17 +129,15 @@ class TableStats:
 
     # -- legacy counter API ---------------------------------------------
 
+    # Always 0: perfbench/server_main.py and perfbench/embedded.py read it every run; perfbench/ stays as is.
     @property
-    def cost_cache_hit_rate(self) -> float:
-        """Fraction of GetCost subtree evaluations served from the cache.
+    def cost_cache_hits(self) -> int:
+        return 0
 
-        Reading the property also refreshes the ``repro_cost_cache_hit_rate``
-        gauge, so registry exports taken after a read carry the rate.
-        """
-        total = self.cost_cache_hits + self.cost_cache_misses
-        rate = self.cost_cache_hits / total if total else 0.0
-        self._metrics["cost_cache_hit_rate_gauge"].set(rate)
-        return rate
+    # Always 0: perfbench/server_main.py and perfbench/embedded.py read it every run; perfbench/ stays as is.
+    @property
+    def cost_cache_misses(self) -> int:
+        return 0
 
     def note_batch(self, size: int) -> None:
         """Record one batched write of ``size`` keys."""

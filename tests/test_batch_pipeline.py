@@ -1,15 +1,13 @@
-"""The batched write pipeline: parity, peel engines, and the cost cache.
+"""The batched write pipeline: parity and peel engines.
 
 Covers the vectorised fast path end to end:
 
 - ``insert_batch`` must be walk-for-walk identical to sequential ``insert``
-  (bit-equal tables, same seed), packed and unpacked, with the cost cache
-  on or off — the optimisations are required to be semantically invisible.
+  (bit-equal tables, same seed), packed and unpacked, with the GetCost
+  minimal-bucket shortcut on or off — the optimisations are required to be
+  semantically invisible.
 - The flat-array (numpy) peel must stall exactly when the dict-of-sets
   reference engine stalls and otherwise produce a valid peel order.
-- The GetCost cost cache must never change a decision, across arbitrary
-  interleavings of table mutations (generation invalidation) and clears
-  (epoch invalidation).
 - The repair walk must survive keys being removed mid-walk (regression
   test for the ``keys_at`` mutation hazard).
 """
@@ -20,15 +18,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import EmbedderConfig, VisionEmbedder
+from repro.core import VisionEmbedder
 from repro.core.assistant_table import AssistantTable
 from repro.core.errors import DuplicateKey, UpdateFailure
 from repro.core.static_build import (
     peel_order,
-    peel_order_flat,
+    peel_rounds_masked,
     static_build_arrays,
 )
-from repro.core.update import UpdateStrategy, VisionStrategy, find_update_path
+from repro.core.update import UpdateStrategy, find_update_path
 from repro.core.value_table import ValueTable
 
 
@@ -59,11 +57,9 @@ class TestInsertBatchParity:
         for key, value in zip(keys, values):
             assert batched.lookup(key) == value
 
-    def test_cache_and_shortcut_are_transparent(self):
+    def test_shortcut_is_transparent(self):
         keys, values = _workload(600, 10, seed=3)
-        reference = VisionEmbedder(
-            800, 10, seed=5, config=EmbedderConfig(cost_cache=False)
-        )
+        reference = VisionEmbedder(800, 10, seed=5)
         reference._strategy.shortcut = False
         reference.insert_batch(keys, values)
         default = VisionEmbedder(800, 10, seed=5)
@@ -182,6 +178,26 @@ def _to_cols(n, width, raw):
     return [[t % width for t in raw[j * n:(j + 1) * n]] for j in range(3)]
 
 
+def _flat_peel(cols, width):
+    """The flat engine's static peel as ``[(key_index, flat_cell), ...]``
+    (concatenated rounds), or None on a stall."""
+    flat_mat = np.stack([
+        np.asarray(col, dtype=np.int64) + j * width
+        for j, col in enumerate(cols)
+    ])
+    num_cells = len(cols) * width
+    rounds, peeled_mask = peel_rounds_masked(
+        flat_mat, num_cells, np.zeros(num_cells, dtype=np.int64)
+    )
+    if not peeled_mask.all():
+        return None
+    return [
+        (key, cell)
+        for keys, cells in rounds
+        for key, cell in zip(keys.tolist(), cells.tolist())
+    ]
+
+
 class TestPeelEngineParity:
     @settings(max_examples=150, deadline=None)
     @given(_instances)
@@ -192,7 +208,7 @@ class TestPeelEngineParity:
             i: tuple((j, cols[j][i]) for j in range(3)) for i in range(n)
         }
         reference = peel_order(key_cells)
-        flat = peel_order_flat(cols, width)
+        flat = _flat_peel(cols, width)
         # Stall iff the reference engine stalls (same 2-core).
         assert (flat is None) == (reference is None)
         if flat is None:
@@ -219,7 +235,7 @@ class TestPeelEngineParity:
         assistant = AssistantTable(width, 3)
         keys = list(range(100, 100 + n))
         values = [(key * 31) % 256 for key in keys]
-        if peel_order_flat(cols, width) is None:
+        if _flat_peel(cols, width) is None:
             with pytest.raises(UpdateFailure):
                 static_build_arrays(table, assistant, keys, values, cols)
             assert len(assistant) == 0
@@ -235,108 +251,10 @@ class TestPeelEngineParity:
         cols = [[0, 0], [1, 1], [2, 2]]
         key_cells = {0: ((0, 0), (1, 1), (2, 2)), 1: ((0, 0), (1, 1), (2, 2))}
         assert peel_order(key_cells) is None
-        assert peel_order_flat(cols, 4) is None
+        assert _flat_peel(cols, 4) is None
 
     def test_empty_instance(self):
-        assert peel_order_flat([[], [], []], 4) == []
-
-
-# -- cost cache -------------------------------------------------------------
-
-
-def _random_assistant(rng, width=12, n=40):
-    assistant = AssistantTable(width, 3)
-    for key in rng.sample(range(1, 10_000), n):
-        cells = tuple((j, rng.randrange(width)) for j in range(3))
-        assistant.add(key, rng.getrandbits(8), cells)
-    return assistant
-
-
-class TestCostCache:
-    def test_cached_choices_match_uncached_across_mutations(self):
-        rng = random.Random(42)
-        assistant = _random_assistant(rng)
-        cached = VisionStrategy(use_cache=True)
-        uncached = VisionStrategy(use_cache=False)
-        for step in range(400):
-            live = [key for key, _ in assistant.pairs()]
-            key = rng.choice(live)
-            candidates = list(assistant.cells(key))
-            efficiency = rng.choice([0.1, 0.3, 0.5, 0.9])
-            assert cached.choose(candidates, key, assistant, efficiency) == \
-                uncached.choose(candidates, key, assistant, efficiency)
-            # Mutate so cached entries must be invalidated, not reused.
-            action = rng.random()
-            if action < 0.30:
-                victim = rng.choice(live)
-                assistant.remove(victim)
-                assistant.add(
-                    victim + 20_000, rng.getrandbits(8),
-                    tuple((j, rng.randrange(12)) for j in range(3)),
-                )
-            elif action < 0.34:
-                # Epoch invalidation: same assistant object, new contents.
-                assistant.clear()
-                for fresh in rng.sample(range(1, 10_000), 40):
-                    assistant.add(
-                        fresh, rng.getrandbits(8),
-                        tuple((j, rng.randrange(12)) for j in range(3)),
-                    )
-
-    def test_generation_counters_track_touched_buckets(self):
-        assistant = AssistantTable(8, 3)
-        cells = ((0, 1), (1, 2), (2, 3))
-        before = [assistant.generation(cell) for cell in cells]
-        assistant.add(5, 9, cells)
-        assert [assistant.generation(cell) for cell in cells] == \
-            [gen + 1 for gen in before]
-        assert assistant.generation((0, 0)) == 0
-        assistant.remove(5)
-        assert [assistant.generation(cell) for cell in cells] == \
-            [gen + 2 for gen in before]
-        epoch = assistant.generation_epoch
-        assistant.clear()
-        assert assistant.generation_epoch == epoch + 1
-        assert assistant.generation((0, 1)) == 0
-
-    def test_cache_stats_surface_in_repr(self):
-        keys, values = _workload(400, 8, seed=6)
-        table = VisionEmbedder(500, 8, seed=3)
-        table.insert_batch(keys, values)
-        stats = table.stats
-        assert stats.cost_cache_hits + stats.cost_cache_misses > 0
-        assert 0.0 <= stats.cost_cache_hit_rate <= 1.0
-        assert "cost_cache_hit_rate" in repr(table)
-        assert "largest 400" in repr(table)
-        off = VisionEmbedder(
-            500, 8, seed=3, config=EmbedderConfig(cost_cache=False)
-        )
-        off.insert_batch(keys, values)
-        assert off.stats.cost_cache_hits == 0
-        assert off.stats.cost_cache_misses == 0
-
-    def test_invalidation_counter_tracks_discarded_entries(self):
-        # Drive the table deep enough that repair walks revisit buckets
-        # whose generations moved: those memo probes must be counted as
-        # invalidations, and every invalidation is also a miss.
-        keys, values = _workload(400, 8, seed=6)
-        table = VisionEmbedder(440, 8, seed=3)
-        table.insert_batch(keys, values)
-        stats = table.stats
-        assert stats.cost_cache_invalidations > 0
-        assert stats.cost_cache_invalidations <= stats.cost_cache_misses
-        # The metric is exported through the registry under its public name.
-        registry_value = stats.registry.counter(
-            "repro_cost_cache_invalidations_total",
-            "GetCost memo entries discarded on a bucket-generation mismatch",
-            "",
-        ).value
-        assert registry_value == stats.cost_cache_invalidations
-        off = VisionEmbedder(
-            440, 8, seed=3, config=EmbedderConfig(cost_cache=False)
-        )
-        off.insert_batch(keys, values)
-        assert off.stats.cost_cache_invalidations == 0
+        assert _flat_peel([[], [], []], 4) == []
 
 
 # -- repair-walk mutation hazard -------------------------------------------

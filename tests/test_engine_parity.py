@@ -23,12 +23,10 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    HAVE_NUMBA,
     ArrayAssistant,
     AssistantTable,
     DuplicateKey,
     EmbedderConfig,
-    NumbaEngine,
     ReferenceVectorEngine,
     ScalarEngine,
     SpaceExhausted,
@@ -182,7 +180,7 @@ class TestVectorReferenceParity:
 
 
 class TestCrossBackendSingleKeyOps:
-    @pytest.mark.parametrize("backend", ["vector", "numba"])
+    @pytest.mark.parametrize("backend", ["vector"])
     def test_single_key_sequences_bit_equal(self, backend):
         """insert/update/delete walk-for-walk identical to the scalar
         backend: trajectories depend only on assistant structure."""
@@ -384,9 +382,6 @@ class TestArrayAssistantBehaviour:
                 sorted(reference.keys_at(cell))
                 == list(candidate.keys_at(cell))
             )
-            assert (
-                reference.generation(cell) == candidate.generation(cell)
-            )
         assert dict(reference.pairs()) == dict(candidate.pairs())
         candidate.check_consistency()
         reference.check_consistency()
@@ -401,9 +396,7 @@ class TestArrayAssistantBehaviour:
     def test_clear_resets_and_bumps_epoch(self):
         assistant = ArrayAssistant(11, 3)
         assistant.add(5, 7, ((0, 1), (1, 2), (2, 3)))
-        epoch = assistant.generation_epoch
         assistant.clear()
-        assert assistant.generation_epoch == epoch + 1
         assert len(assistant) == 0
         assert assistant.count_at((0, 1)) == 0
         assert assistant.keys_at((0, 1)) == ()
@@ -546,20 +539,8 @@ class TestBackendSelection:
     def test_make_engine_names(self):
         assert isinstance(make_engine("scalar"), ScalarEngine)
         assert isinstance(make_engine("vector"), VectorEngine)
-        assert isinstance(make_engine("numba"), NumbaEngine)
         with pytest.raises(ValueError):
             make_engine("cuda")
-
-    def test_numba_backend_degrades_gracefully(self):
-        """backend='numba' must work whether or not numba is installed."""
-        engine = make_engine("numba")
-        assert engine.jitted is HAVE_NUMBA
-        table = VisionEmbedder(
-            100, 8, seed=1, config=EmbedderConfig(backend="numba")
-        )
-        table.insert_batch([1, 2, 3], [4, 5, 6])
-        table.check_invariants()
-        assert table.lookup(2) == 5
 
     def test_sharded_shards_inherit_backend(self):
         sharded = make_table(

@@ -226,12 +226,20 @@ class TestConcurrentWrapper:
     def test_set_hooks_under_load_is_safe(self):
         table = ConcurrentVisionEmbedder(capacity=1000, value_bits=8, seed=3)
         stop = threading.Event()
+        errors = []
 
         def writer():
+            # At most 400 keys resident: the table never nears capacity,
+            # so the writer keeps running for the whole hook-swap loop.
             key = 0
-            while not stop.is_set():
-                table.insert(key, (key % 255) + 1)
-                key += 1
+            try:
+                while not stop.is_set():
+                    table.insert(key, (key % 255) + 1)
+                    if key >= 400:
+                        table.delete(key - 400)
+                    key += 1
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
 
         thread = threading.Thread(target=writer)
         thread.start()
@@ -242,4 +250,5 @@ class TestConcurrentWrapper:
         finally:
             stop.set()
             thread.join()
+        assert errors == []
         table.check_invariants()

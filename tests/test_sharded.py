@@ -339,7 +339,7 @@ class TestMetrics:
         assert export("repro_shard_keys_max") >= len(pairs) / 8
         assert 0 < export("repro_shard_space_efficiency_max") <= 1.0
 
-    def test_shard_stats_reports_cache_counters(self):
+    def test_shard_stats_reports_repair_counters(self):
         pairs = _pairs(500, 10, seed=19)
         table = ShardedEmbedder(520, 10, num_shards=4, seed=4)
         table.build(pairs)
@@ -347,9 +347,9 @@ class TestMetrics:
         assert len(rows) == 4
         assert sum(row["keys"] for row in rows) == len(pairs)
         assert all(0 < row["space_efficiency"] <= 1 for row in rows)
-        total_misses = sum(row["cost_cache_misses"] for row in rows)
-        assert total_misses == table.stats.cost_cache_misses
+        total_steps = sum(row["repair_steps"] for row in rows)
+        assert total_steps == table.stats.repair_steps > 0
         assert all(
-            row["cost_cache_invalidations"] <= row["cost_cache_misses"]
+            row["update_failures"] >= 0 and row["reconstructions"] >= 0
             for row in rows
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import fill_table, make_pairs, try_fill_table
-from repro.core.stats import TableStats
+from repro.core.stats import STAT_FIELDS, TableStats
 from repro.factory import make_table
 from repro.table import ValueOnlyTable
 
@@ -58,18 +58,25 @@ class TestTableStats:
         assert stats.largest_batch == 10
         assert stats.registry.get("repro_batch_size").count == 2
 
-    def test_cost_cache_hit_rate(self):
+    def test_cost_cache_compat_counters_read_zero(self):
+        # Read-only leftovers of the removed GetCost memo: always 0, and
+        # absent from the fields, snapshots and exported series.
         stats = TableStats()
-        assert stats.cost_cache_hit_rate == 0.0
-        stats.cost_cache_hits = 3
-        stats.cost_cache_misses = 1
-        assert stats.cost_cache_hit_rate == pytest.approx(0.75)
+        assert stats.cost_cache_hits == 0
+        assert stats.cost_cache_misses == 0
+        with pytest.raises(AttributeError):
+            stats.cost_cache_hits = 1
+        assert not any("cost_cache" in attr for attr in STAT_FIELDS)
+        assert "cost_cache" not in repr(stats.snapshot())
+        assert not any(
+            "cost_cache" in metric.name for metric in stats.registry.metrics()
+        )
 
     def test_counter_for_hot_path_handles(self):
         stats = TableStats()
-        handle = stats.counter_for("cost_cache_hits")
+        handle = stats.counter_for("updates")
         handle.value += 5           # the raw single-writer fast path
-        assert stats.cost_cache_hits == 5
+        assert stats.updates == 5
 
 
 class TestWorkloadHelpers:
